@@ -36,7 +36,7 @@ test:
 # never exhibit, the race detector catches unsynchronized access the
 # linter cannot see.
 race:
-	$(GO) test -race ./internal/core/... ./internal/apps/... ./internal/serve/... ./internal/session/... ./internal/router/... ./internal/para/... ./internal/psort/... ./internal/scan/...
+	$(GO) test -race ./internal/core/... ./internal/marks/... ./internal/detres/... ./internal/apps/... ./internal/serve/... ./internal/session/... ./internal/router/... ./internal/para/... ./internal/psort/... ./internal/scan/...
 
 # End-to-end trace check: run one traced figure at small scale, then prove
 # the emitted Chrome trace-event JSON parses and is structurally sound

@@ -1,7 +1,9 @@
 package dmr
 
 import (
+	"runtime"
 	"testing"
+	"weak"
 
 	"galois"
 	"galois/internal/mesh"
@@ -137,5 +139,31 @@ func TestDeterministicAcrossRepeats(t *testing.T) {
 	b := Galois(smallInput(t), q, galois.WithThreads(8), galois.WithSched(galois.Deterministic))
 	if a.Fingerprint() != b.Fingerprint() {
 		t.Fatal("repeated deterministic runs differ")
+	}
+}
+
+// TestEngineDoesNotPinPreviousMesh checks that a held engine lets go of a
+// finished run's mesh: its retained scratch (task records, children and
+// sort buffers, contexts) keeps its capacity but must not keep elements
+// reachable. After the next run on the same engine and one GC, a weak
+// pointer to the previous run's root element must be nil.
+func TestEngineDoesNotPinPreviousMesh(t *testing.T) {
+	q := DefaultQuality()
+	for _, sched := range []galois.Sched{galois.Deterministic, galois.NonDeterministic} {
+		eng := galois.NewEngine(galois.WithThreads(2))
+		opts := []galois.Option{galois.WithEngine(eng), galois.WithSched(sched)}
+		prev := func() weak.Pointer[mesh.Element] {
+			root := MakeInput(2000, 5)
+			if r := Galois(root, q, opts...); r.Stats.Commits == 0 {
+				t.Fatal("first run refined nothing")
+			}
+			return weak.Make(root)
+		}()
+		Galois(MakeInput(2000, 6), q, opts...)
+		runtime.GC()
+		if prev.Value() != nil {
+			t.Errorf("sched %v: the engine keeps the previous run's mesh reachable", sched)
+		}
+		eng.Close()
 	}
 }

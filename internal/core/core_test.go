@@ -480,6 +480,10 @@ func TestDuplicateAcquireIsIdempotent(t *testing.T) {
 	}
 }
 
+// TestMarksClearedAfterDeterministicRun checks that a finished run leaves
+// no live mark behind: the run never clears its marks, so every touched
+// cell still carries a word, but each one must read as unowned to a fresh
+// epoch — a worker of a new run acquires it.
 func TestMarksClearedAfterDeterministicRun(t *testing.T) {
 	cells := make([]*cell, 64)
 	for i := range cells {
@@ -494,8 +498,16 @@ func TestMarksClearedAfterDeterministicRun(t *testing.T) {
 		ctx.Acquire(&cells[i].Lockable)
 		ctx.OnCommit(func(*Ctx[int]) { cells[i].value++ })
 	}, optsFor(Deterministic, 4))
+	epoch := marks.NextEpoch()
+	floor := marks.Floor(epoch)
 	for i, c := range cells {
-		if c.Holder() != nil {
+		if c.value == 0 {
+			continue
+		}
+		if c.OwnedBy(0) {
+			t.Fatalf("cell %d was committed to but never marked", i)
+		}
+		if ok, _ := c.TryAcquire(marks.Word(epoch, 0), floor); !ok {
 			t.Fatalf("cell %d still marked after run", i)
 		}
 	}

@@ -20,7 +20,7 @@ const (
 	// max at every neighborhood location.
 	modeInspect
 	// modeValidate: DIG baseline commit phase; the body re-executes and
-	// Acquire checks that every mark still holds the task's id
+	// Acquire checks that every mark still holds the task's word
 	// (Figure 3, selectAndExec line 11).
 	modeValidate
 )
@@ -42,19 +42,34 @@ type child[T any] struct {
 }
 
 // Ctx is the per-task execution context handed to task bodies. It carries
-// the task's mark record, its discovered neighborhood, the deferred commit
-// closure and any created children. A Ctx is owned by one worker goroutine
-// at a time and must not escape the task body.
+// the task's mark word, the deferred commit closure and any created
+// children. A Ctx is owned by one worker goroutine at a time and must not
+// escape the task body.
 type Ctx[T any] struct {
 	tid     int
 	threads int
 	mode    mode
 	det     bool
-	rec     *marks.Rec
 
-	// acquired is the neighborhood discovered so far: locations this
-	// task owned at acquire time. Owners clear these marks at round end.
+	// id is the task's deterministic scheduling id, the parent half of its
+	// children's sort keys (§3.2).
+	id uint64
+	// word is the attempt's mark word (see package marks); marks at or
+	// above floor are live in the current round (DIG) or run
+	// (non-deterministic), anything below reads as unowned.
+	word, floor uint64
+	// window is the round's tasks in slot order (DIG), so the task a mark
+	// word w belongs to is window[marks.Slot(w)].
+	window []*detTask[T]
+
+	// acquired lists the locations this attempt owns. The
+	// non-deterministic scheduler releases them at commit or abort; the
+	// DIG scheduler never clears marks and records them only for the
+	// locality tracer (traceCommitTouches).
 	acquired []*marks.Lockable
+	// depth counts the locations an inspect owned before its first loss,
+	// for the acquire.fail_depth histogram.
+	depth int
 	// commitFn is the failsafe continuation registered by OnCommit.
 	commitFn func(*Ctx[T])
 	// inCommit is true while commitFn runs; Acquire is then illegal.
@@ -76,6 +91,11 @@ type Ctx[T any] struct {
 	col *stats.Collector
 	pro *cachesim.Tracer
 	met *coreMetrics
+
+	// Each worker's Ctx is a separate allocation, and allocations of one
+	// size class sit back to back: the pad keeps one worker's hot fields
+	// off the cache lines of its neighbor's.
+	_ [128]byte
 }
 
 // prepare binds a retained context's per-run fields. Engines keep contexts
@@ -90,11 +110,11 @@ func (c *Ctx[T]) prepare(threads int, det bool, col *stats.Collector, opt Option
 	c.met = met
 }
 
-func (c *Ctx[T]) reset(tid int, m mode, rec *marks.Rec) {
+func (c *Ctx[T]) reset(tid int, m mode) {
 	c.tid = tid
 	c.mode = m
-	c.rec = rec
 	c.acquired = c.acquired[:0]
+	c.depth = 0
 	c.commitFn = nil
 	c.inCommit = false
 	c.failed = false
@@ -131,7 +151,7 @@ func (c *Ctx[T]) Acquire(l *marks.Lockable) {
 	}
 	switch c.mode {
 	case modeDirect:
-		ok, ops := l.TryAcquire(c.rec)
+		ok, ops := l.TryAcquire(c.word, c.floor)
 		c.ops += ops
 		if !ok {
 			if c.met != nil {
@@ -143,33 +163,36 @@ func (c *Ctx[T]) Acquire(l *marks.Lockable) {
 			c.acquired = append(c.acquired, l)
 		}
 	case modeInspect:
-		owned, stole, ops := l.WriteMax(c.rec)
+		owned, prev, ops := l.WriteMax(c.word)
 		c.ops += ops
 		if owned {
-			if stole != nil {
-				// The displaced lower-id task can no longer
-				// own all of its neighborhood (§3.3).
-				stole.Prevented.Store(true)
+			if prev >= c.floor {
+				// The displaced lower-slot (so lower-id) task of
+				// this round can no longer own all of its
+				// neighborhood (§3.3). Older marks need no flag.
+				c.window[marks.Slot(prev)].prevented.Store(true)
 				c.ops++
 			}
-			// Re-acquiring an owned location appends a duplicate;
-			// clearing and validation are idempotent, so that is
-			// harmless and cheaper than deduplicating here.
-			c.acquired = append(c.acquired, l)
+			c.depth++
+			if c.pro != nil {
+				// Re-acquiring an owned location appends a
+				// duplicate; the tracer replays it as a touch.
+				c.acquired = append(c.acquired, l)
+			}
 		} else {
 			// A higher-id task holds the mark; this task cannot
 			// commit this round, but inspection continues so the
-			// remaining locations still observe its id.
+			// remaining locations still observe its word.
 			if c.met != nil && !c.failed {
-				c.met.failDepth.Observe(c.tid, int64(len(c.acquired)))
+				c.met.failDepth.Observe(c.tid, int64(c.depth))
 			}
 			c.failed = true
-			c.rec.Prevented.Store(true)
+			c.window[marks.Slot(c.word)].prevented.Store(true)
 			c.ops++
 		}
 	case modeValidate:
 		c.ops++
-		if !l.OwnedBy(c.rec) {
+		if !l.OwnedBy(c.word) {
 			panic(conflictSignal{})
 		}
 	}
@@ -204,7 +227,7 @@ func (c *Ctx[T]) OnCommit(fn func(*Ctx[T])) {
 // task's deterministic id derives from (id(parent), creation index).
 func (c *Ctx[T]) Push(item T) {
 	c.nchild++
-	c.children = append(c.children, child[T]{item: item, parent: c.rec.ID, k: c.nchild})
+	c.children = append(c.children, child[T]{item: item, parent: c.id, k: c.nchild})
 }
 
 // PushWithID creates a new task with an explicit scheduling priority,
@@ -214,7 +237,7 @@ func (c *Ctx[T]) Push(item T) {
 // order, which is deterministic under DIG anyway).
 func (c *Ctx[T]) PushWithID(item T, id uint64) {
 	c.nchild++
-	c.children = append(c.children, child[T]{item: item, parent: c.rec.ID, k: c.nchild, pre: id})
+	c.children = append(c.children, child[T]{item: item, parent: c.id, k: c.nchild, pre: id})
 }
 
 // CountAtomic adds n application-level atomic updates to the run's

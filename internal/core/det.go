@@ -1,19 +1,32 @@
 package core
 
 import (
+	"sync/atomic"
+
 	"galois/internal/marks"
 	"galois/internal/stats"
 )
 
 // detTask is the scheduler-side record for one task in the current
-// generation. Its rec is the task's identity in the marks protocol; the id
-// stored in rec is the task's position in the generation's deterministic
-// order (§3.2). The acquired and children slices are per-task scratch whose
-// capacity survives arena recycling, which is what makes a reused engine's
-// steady state allocation-free.
+// generation. Its mark word is not stored: it is derived from the round's
+// epoch and the task's slot in the round's window (see package marks). The
+// children slice is per-task scratch whose capacity survives arena
+// recycling, which is what makes a reused engine's steady state
+// allocation-free.
 type detTask[T any] struct {
-	rec      marks.Rec
-	item     T
+	item T
+	// id is the task's position in the generation's deterministic order
+	// (§3.2), the parent half of its children's sort keys.
+	id uint64
+	// prevented is set when another task displaced one of this task's
+	// marks, or this task lost a location to a higher word, so it cannot
+	// be part of the round's independent set — the flag of the
+	// continuation optimization (§3.3). The task clears it at the start of
+	// its own inspect, before writing any mark, and a stealer only flags a
+	// mark written after that, so no flag write is lost.
+	prevented atomic.Bool
+	// acquired is the inspected neighborhood, recorded only for the
+	// locality tracer (Options.Profile).
 	acquired []*marks.Lockable
 	commitFn func(*Ctx[T])
 	children []child[T]
@@ -99,12 +112,13 @@ func runDeterministic[T any](e *Engine, st *engState[T], items []T, body func(*C
 // continuation optimization the registered commit closure and any phase-1
 // children are retained for resumption; without it they are discarded and
 // the commit phase re-executes the body.
-func inspectTask[T any](ctx *Ctx[T], t *detTask[T], body func(*Ctx[T], T), tid int, keepCont bool) {
+func inspectTask[T any](ctx *Ctx[T], t *detTask[T], word uint64, body func(*Ctx[T], T), tid int, keepCont bool) {
 	// Clear last round's outcome before writing any marks: stealers only
-	// touch this rec after its first mark write, so no flag update can
-	// be lost (see marks.Rec.Prevented).
-	t.rec.Prevented.Store(false)
-	ctx.reset(tid, modeInspect, &t.rec)
+	// flag this task after its first mark write, so no flag update can be
+	// lost (see detTask.prevented).
+	t.prevented.Store(false)
+	ctx.reset(tid, modeInspect)
+	ctx.id, ctx.word = t.id, word
 	ctx.acquired = t.acquired[:0]
 	ctx.children = t.children[:0]
 	ctx.runBody(body, t.item)
@@ -120,28 +134,29 @@ func inspectTask[T any](ctx *Ctx[T], t *detTask[T], body func(*Ctx[T], T), tid i
 	ctx.col.Inspect(tid)
 }
 
-// execTask decides whether t is in the round's independent set and, if so,
-// commits it. Either way it clears the marks t still owns, so every mark is
-// unowned again by the end of the phase.
-func execTask[T any](ctx *Ctx[T], t *detTask[T], body func(*Ctx[T], T), tid int, continuation bool) {
+// execTask decides whether t, inspected under mark word word, is in the
+// round's independent set and, if so, commits it. Its marks stay where they
+// are: the next round's epoch makes them read as unowned.
+func execTask[T any](ctx *Ctx[T], t *detTask[T], word uint64, body func(*Ctx[T], T), tid int, continuation bool) {
 	// Two branches below (prevented, and committed-without-commitFn) never
-	// reset the ctx, yet the mark-clearing epilogue flushes the atomic-op
-	// count through ctx.tid-sharded collector slots. ctx 0 is shared
-	// between worker 0's parallel phases and the batched serial rounds any
-	// worker may drain inside a coordination callback, so a ctx can reach
+	// reset the ctx, yet the epilogue flushes the atomic-op count through
+	// ctx.tid-sharded collector slots. ctx 0 is shared between worker 0's
+	// parallel phases and the batched serial rounds any worker may drain
+	// inside a coordination callback, so a ctx can reach
 	// exec carrying another caller's tid and would flush into the wrong
 	// shard. Pin the tid up front.
 	ctx.tid = tid
 	if continuation {
 		// §3.3: the prevented flag subsumes mark re-validation — it
 		// is set iff some location of t ended up owned by a higher id.
-		if t.rec.Prevented.Load() {
+		if t.prevented.Load() {
 			t.failed = true
 			ctx.col.Abort(tid)
 		} else {
 			t.failed = false
 			if t.commitFn != nil {
-				ctx.reset(tid, modeInspect, &t.rec)
+				ctx.reset(tid, modeInspect)
+				ctx.id = t.id
 				ctx.children = t.children
 				ctx.nchild = childMax(t.children)
 				ctx.inCommit = true
@@ -154,10 +169,11 @@ func execTask[T any](ctx *Ctx[T], t *detTask[T], body func(*Ctx[T], T), tid int,
 		}
 	} else {
 		// Baseline (§3.2): re-execute from the beginning; Acquire
-		// validates that each mark still holds this task's id and
+		// validates that each mark still holds this task's word and
 		// unwinds on the first mismatch. Pushes go to the ctx-owned
 		// scratch buffer (see Ctx.scratch), reclaimed below.
-		ctx.reset(tid, modeValidate, &t.rec)
+		ctx.reset(tid, modeValidate)
+		ctx.id, ctx.word = t.id, word
 		ctx.children = ctx.scratch[:0]
 		if conflicted := ctx.runBody(body, t.item); conflicted {
 			ctx.scratch = ctx.children
@@ -174,9 +190,6 @@ func execTask[T any](ctx *Ctx[T], t *detTask[T], body func(*Ctx[T], T), tid int,
 			ctx.scratch = ctx.children
 			ctx.col.Commit(tid)
 		}
-	}
-	for _, l := range t.acquired {
-		ctx.ops += l.ClearIfOwner(&t.rec)
 	}
 	ctx.flushOps()
 	if !t.failed {

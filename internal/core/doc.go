@@ -14,28 +14,33 @@
 //     tasks are cautious — no shared writes before the OnCommit closure —
 //     unwinding is the entire rollback.
 //   - modeInspect (DIG phase 1): Acquire performs writeMarksMax: the
-//     highest task id wins each location, displaced owners get their
-//     Prevented flag set, and losing tasks self-flag but keep marking (the
-//     max over a fixed set is order-independent only if every element
-//     participates). The cumulative marks are the round's interference
-//     graph; nobody mutates shared program state in this phase.
+//     highest mark word wins each location, a displaced task of the same
+//     round gets its prevented flag set, and losing tasks self-flag but
+//     keep marking (the max over a fixed set is order-independent only if
+//     every element participates). The cumulative marks are the round's
+//     interference graph; nobody mutates shared program state in this
+//     phase.
 //   - modeValidate (DIG phase 2, baseline): the body re-executes; Acquire
-//     asserts ownership and unwinds on the first mismatch. With the
-//     continuation optimization the re-execution is skipped: the Prevented
-//     flag alone decides, and the closure saved at inspect time resumes.
+//     asserts that each location still holds the task's word and unwinds
+//     on the first mismatch. With the continuation optimization the
+//     re-execution is skipped: the prevented flag alone decides, and the
+//     closure saved at inspect time resumes.
 //
-// # Why the Prevented flag equals mark validation
+// # Why the prevented flag equals mark validation
 //
 // Task t fails to own location l at the end of inspect iff some other task
-// u with id(u) > id(t) marked l this round. Two cases: u marked l after t
-// (u observed t's mark and stole it, setting t.Prevented), or before
-// (t observed u's mark, lost the WriteMax, and self-set t.Prevented).
-// Either way Prevented(t) is set; conversely Prevented(t) is only ever set
-// in those two situations. So Prevented(t) <=> t does not own its whole
-// neighborhood <=> t is outside the round's unique independent set. The
-// spec-conformance property tests (spec_test.go) check this equivalence
-// against a direct sequential interpreter of Figure 2, with and without
-// the optimization, across thread counts.
+// u of the same round with word(u) > word(t) marked l. Two cases: u marked
+// l after t (u's WriteMax displaced t's word, which is at or above the
+// round's floor, so u flags window[slot(t)] = t), or before (t observed
+// u's word, lost the WriteMax, and self-flagged). Either way t.prevented is
+// set; conversely it is only ever set in those two situations — a
+// displaced word below the floor belongs to an earlier round and flags
+// nobody. So prevented(t) <=> t does not own its whole neighborhood <=> t
+// is outside the round's unique independent set. Because the window is in
+// id order, word order within a round is id order, and that set is the
+// one Figure 2 selects. The spec-conformance property tests (spec_test.go)
+// check this equivalence against a direct sequential interpreter of
+// Figure 2, with and without the optimization, across thread counts.
 //
 // # Why the commit phase is race- and determinism-safe
 //
@@ -48,11 +53,21 @@
 //
 // # Mark lifecycle
 //
-// Every round starts with all marks nil: after selectAndExec each task
-// CASes its own record out of every location it recorded (ClearIfOwner),
-// and exactly one task — the final owner — succeeds per location. A task
-// resets its Prevented flag at the start of its own inspect, strictly
+// A mark is one word, epoch<<23 | (slot+1) (package marks). setupRound
+// takes a fresh process-wide epoch for every round, and the window task at
+// index k marks with slot k. Marks are never cleared: a word of an earlier
+// round is below the new round's floor, so it reads as unowned, and the
+// first WriteMax of the new round simply overwrites it. The
+// non-deterministic scheduler takes one epoch per run and marks with the
+// worker id, releasing its marks as tasks commit or abort; whatever a run
+// leaves behind is likewise stale to every later round or run. A task
+// resets its prevented flag at the start of its own inspect, strictly
 // before writing any marks, so no stealer's flag write can be lost.
+//
+// Slot order is id order because the window is a prefix of the pending
+// list, which is in id order: generations are formed in id order, and a
+// round's failed tasks are compacted, in window order, in front of the
+// untried rest (commit.go). TestWindowSlotOrderIsIDOrder pins this.
 //
 // # Determinism inventory
 //

@@ -2,9 +2,9 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"sync/atomic"
 
-	"galois/internal/marks"
 	"galois/internal/obs"
 	"galois/internal/para"
 	"galois/internal/stats"
@@ -109,9 +109,9 @@ type engState[T any] struct {
 	// ctxs are the per-worker execution contexts; their acquired/children
 	// scratch capacity persists across runs.
 	ctxs []*Ctx[T]
-	// recs are the per-worker mark records of the non-deterministic
-	// scheduler (pointers, so growth never moves a record under a run).
-	recs []*marks.Rec
+	// pins: T holds pointers, so retained items can keep user data alive
+	// (see dropPayloads).
+	pins bool
 	// free recycles generation arenas by size class (DIG scheduler).
 	free genFreeList[T]
 	// commit is the end-of-round collector; its produced buffer, chunk
@@ -135,8 +135,65 @@ type engState[T any] struct {
 func (st *engState[T]) ensure(n int) {
 	for len(st.ctxs) < n {
 		st.ctxs = append(st.ctxs, &Ctx[T]{})
-		st.recs = append(st.recs, &marks.Rec{})
 	}
+}
+
+// dropPayloads zeroes the finished run's items, closures and location
+// pointers out of the retained scratch, keeping its capacity. Recycled
+// buffers are only ever read up to what the next run writes, so the stale
+// tail is dead to the scheduler — but not to the garbage collector: a
+// retained task item or child (for dmr, a *mesh.Element) would keep the
+// whole previous input reachable for as long as the engine lives. The
+// per-task buffers can only pin anything when T holds pointers, or when a
+// profiled run logged location pointers; otherwise the sweep is skipped.
+func (st *engState[T]) dropPayloads(profiled bool) {
+	for _, ctx := range st.ctxs {
+		clear(ctx.acquired[:cap(ctx.acquired)])
+		clear(ctx.children[:cap(ctx.children)])
+		clear(ctx.scratch[:cap(ctx.scratch)])
+		ctx.commitFn = nil
+		ctx.window = nil
+	}
+	if !st.pins && !profiled {
+		return
+	}
+	var zero T
+	for _, a := range st.free.byClass {
+		if a == nil {
+			continue
+		}
+		for i := range a.tasks[:a.dirty] {
+			t := &a.tasks[i]
+			t.item = zero
+			clear(t.acquired[:cap(t.acquired)])
+			clear(t.children[:cap(t.children)])
+		}
+		a.dirty = 0
+	}
+	clear(st.commit.produced[:cap(st.commit.produced)])
+	for i := range st.commit.lanes {
+		lane := &st.commit.lanes[i]
+		clear(lane.children[:cap(lane.children)])
+	}
+	clear(st.sortScratch[:cap(st.sortScratch)])
+}
+
+// holdsPointers reports whether a value of type t can reference memory.
+func holdsPointers(t reflect.Type) bool {
+	switch k := t.Kind(); {
+	case k >= reflect.Bool && k <= reflect.Complex128:
+		return false
+	case k == reflect.Array:
+		return holdsPointers(t.Elem())
+	case k == reflect.Struct:
+		for i := range t.NumField() {
+			if holdsPointers(t.Field(i).Type) {
+				return true
+			}
+		}
+		return false
+	}
+	return true
 }
 
 // stateFor returns the engine's retained state for item type T, creating it
@@ -146,7 +203,7 @@ func stateFor[T any](e *Engine) *engState[T] {
 	if s, ok := e.states[key]; ok {
 		return s.(*engState[T])
 	}
-	s := &engState[T]{}
+	s := &engState[T]{pins: holdsPointers(reflect.TypeFor[T]())}
 	e.states[key] = s
 	return s
 }
@@ -217,6 +274,7 @@ func RunOn[T any](e *Engine, items []T, body func(*Ctx[T], T), opt Options) stat
 		default:
 			runNonDeterministic(e, st, items, body, opt, col)
 		}
+		st.dropPayloads(opt.Profile != nil)
 	}
 	col.Stop()
 	snap := col.Snapshot()

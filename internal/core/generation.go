@@ -14,6 +14,9 @@ type genArena[T any] struct {
 	tasks []detTask[T]
 	order []*detTask[T]
 	perm  []*detTask[T]
+	// dirty bounds the tasks written since the engine last dropped the
+	// arena's payloads (engState.dropPayloads).
+	dirty int
 }
 
 // arenaClass returns the free-list class for a generation of n tasks: the
@@ -39,16 +42,18 @@ type genFreeList[T any] struct {
 // the right class when available.
 func (fl *genFreeList[T]) take(n int) *genArena[T] {
 	c := arenaClass(n)
-	if a := fl.byClass[c]; a != nil {
+	a := fl.byClass[c]
+	if a != nil {
 		fl.byClass[c] = nil
-		return a
+	} else {
+		capacity := 1 << c
+		a = &genArena[T]{
+			tasks: make([]detTask[T], capacity),
+			order: make([]*detTask[T], capacity),
+			perm:  make([]*detTask[T], capacity),
+		}
 	}
-	capacity := 1 << c
-	a := &genArena[T]{
-		tasks: make([]detTask[T], capacity),
-		order: make([]*detTask[T], capacity),
-		perm:  make([]*detTask[T], capacity),
-	}
+	a.dirty = max(a.dirty, n)
 	return a
 }
 
@@ -112,10 +117,9 @@ func (g *generation[T]) interleave(w0 int) {
 }
 
 // assignIDs gives every task its deterministic id: its position in the
-// generation's order, offset by one because id 0 means "unowned" in the
-// marks protocol (§3.2).
+// generation's order, offset by one so ids are strictly positive (§3.2).
 func (g *generation[T]) assignIDs() {
 	for i, t := range g.tasks {
-		t.rec.Reset(uint64(i) + 1)
+		t.id = uint64(i) + 1
 	}
 }

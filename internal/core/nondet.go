@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"sync/atomic"
 
+	"galois/internal/marks"
 	"galois/internal/obs"
 	"galois/internal/stats"
 	"galois/internal/worklist"
@@ -59,7 +60,7 @@ func pickWorklist[T any](st *engState[T], opt Options, nthreads int) interface {
 // the deferred write phase and enqueueing created tasks) or aborts on
 // conflict (releasing its marks and retrying the task later). It runs on
 // the engine's persistent worker pool and reuses the engine-retained
-// contexts, mark records and worklist.
+// contexts and worklist.
 func runNonDeterministic[T any](e *Engine, st *engState[T], items []T, body func(*Ctx[T], T), opt Options, col *stats.Collector) {
 	nthreads := opt.Threads
 	met := e.metricsFor(opt.Metrics)
@@ -83,17 +84,21 @@ func runNonDeterministic[T any](e *Engine, st *engState[T], items []T, body func
 	var pending atomic.Int64
 	pending.Store(int64(len(items)))
 
+	// One epoch for the whole run: worker tid marks with Word(epoch, tid),
+	// and any word below the epoch's floor — every mark an earlier round
+	// or run left behind — reads as unowned.
+	epoch := marks.NextEpoch()
+
 	e.pool.Run(nthreads, func(tid int) {
 		ctx := st.ctxs[tid]
 		// Per-worker tallies for the worker-summary trace event. The
 		// event goes to the worker's own lock-free buffer, so emission
 		// adds no synchronization between workers.
 		var commits, aborts int64
-		rec := st.recs[tid]
-		// Ids only need to be unique for the non-deterministic marks
-		// protocol (§2.1); pointer identity of rec provides that, and
-		// a nonzero ID keeps invariants uniform with DIG mode.
-		rec.Reset(uint64(tid) + 1)
+		// Marks only need to be unique per worker for the
+		// non-deterministic protocol (§2.1); the id is the parent key
+		// of children, which this scheduler ignores.
+		ctx.id, ctx.word, ctx.floor = uint64(tid)+1, marks.Word(epoch, tid), marks.Floor(epoch)
 
 		backoff := 0
 		for {
@@ -108,14 +113,14 @@ func runNonDeterministic[T any](e *Engine, st *engState[T], items []T, body func
 				continue
 			}
 
-			ctx.reset(tid, modeDirect, rec)
+			ctx.reset(tid, modeDirect)
 			if conflicted := ctx.runBody(body, item); conflicted {
 				// Roll back: release every mark acquired so
 				// far and retry the task later (Figure 1b
 				// lines 7-8). Cautious tasks performed no
 				// shared writes, so no state is restored.
 				for _, l := range ctx.acquired {
-					ctx.ops += l.Release(ctx.rec)
+					ctx.ops += l.Release(ctx.word)
 				}
 				ctx.flushOps()
 				col.Abort(tid)
@@ -148,7 +153,7 @@ func runNonDeterministic[T any](e *Engine, st *engState[T], items []T, body func
 				}
 			}
 			for _, l := range ctx.acquired {
-				ctx.ops += l.Release(ctx.rec)
+				ctx.ops += l.Release(ctx.word)
 			}
 			ctx.flushOps()
 			col.Commit(tid)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"galois/internal/marks"
 	"galois/internal/obs"
 	"galois/internal/para"
 	"galois/internal/stats"
@@ -22,7 +23,7 @@ const serialSpan = 2
 //
 // A parallel round costs exactly two barrier crossings — the semantic floor
 // of the DIG protocol. The inspect→execute rendezvous is required because a
-// task's round outcome (marks.Rec.Prevented) is decided by the LAST
+// task's round outcome (detTask.prevented) is decided by the LAST
 // inspect that touches any of its locations, so no execute may start before
 // every inspect finishes; the execute→next-inspect rendezvous is required
 // because committed tasks mutate shared state the next round's inspects
@@ -89,6 +90,10 @@ type roundExecutor[T any] struct {
 	w    int
 	cur  []*detTask[T]
 	rest []*detTask[T]
+
+	// epoch is the round's mark epoch: cur[k] marks with
+	// marks.Word(epoch, k) (see "Mark lifecycle" in doc.go).
+	epoch uint64
 
 	// serialRound: this round runs entirely inside the coordination
 	// callback (w <= serialSpan*nthreads — forking costs more than it
@@ -207,7 +212,7 @@ func (r *roundExecutor[T]) formGeneration(tid int) {
 		t.children = t.children[:0]
 		t.commitFn = nil
 		t.failed = false
-		t.rec.Reset(uint64(p) + 1)
+		t.id = uint64(p) + 1
 		order[p] = t
 	}
 	if tid == 0 {
@@ -268,6 +273,7 @@ func (r *roundExecutor[T]) setupRound() {
 	w := r.win.next(len(r.next))
 	r.w = w
 	r.cur, r.rest = r.next[:w:w], r.next[w:]
+	r.epoch = marks.NextEpoch()
 	r.round++
 	emit(r.sink, 0, obs.Event{Kind: obs.KindRoundStart, Gen: r.genIdx, Round: r.round,
 		Args: [4]int64{int64(w), int64(len(r.rest))}})
@@ -291,12 +297,10 @@ func (r *roundExecutor[T]) advance() {
 	r.setupRound()
 	for !r.done && r.serialRound {
 		ctx := r.ctxs[0]
-		for _, t := range r.cur {
-			inspectTask(ctx, t, r.body, 0, r.opt.Continuation)
-		}
+		r.inspectRange(ctx, 0, 0, r.w)
 		r.ts1 = obs.Nanotime()
-		for _, t := range r.cur {
-			execTask(ctx, t, r.body, 0, r.opt.Continuation)
+		for k, t := range r.cur {
+			execTask(ctx, t, marks.Word(r.epoch, k), r.body, 0, r.opt.Continuation)
 		}
 		r.ts2 = obs.Nanotime()
 		r.cc.gather(r)
@@ -311,8 +315,9 @@ func (r *roundExecutor[T]) advance() {
 // share of the window: each task runs through its failsafe point in
 // inspect mode, write-max-marking its neighborhood.
 func (r *roundExecutor[T]) inspectRange(ctx *Ctx[T], tid, lo, hi int) {
-	for _, t := range r.cur[lo:hi] {
-		inspectTask(ctx, t, r.body, tid, r.opt.Continuation)
+	ctx.window, ctx.floor = r.cur, marks.Floor(r.epoch)
+	for k := lo; k < hi; k++ {
+		inspectTask(ctx, r.cur[k], marks.Word(r.epoch, k), r.body, tid, r.opt.Continuation)
 	}
 }
 
@@ -325,16 +330,17 @@ func (r *roundExecutor[T]) inspectRange(ctx *Ctx[T], tid, lo, hi int) {
 // the differential baseline.
 func (r *roundExecutor[T]) execRange(ctx *Ctx[T], tid, lo, hi int) {
 	if r.opt.SerialCoordinator {
-		for _, t := range r.cur[lo:hi] {
-			execTask(ctx, t, r.body, tid, r.opt.Continuation)
+		for k := lo; k < hi; k++ {
+			execTask(ctx, r.cur[k], marks.Word(r.epoch, k), r.body, tid, r.opt.Continuation)
 		}
 		return
 	}
 	lane := &r.cc.lanes[tid]
 	failed := lane.failed[:0]
 	children := lane.children
-	for _, t := range r.cur[lo:hi] {
-		execTask(ctx, t, r.body, tid, r.opt.Continuation)
+	for k := lo; k < hi; k++ {
+		t := r.cur[k]
+		execTask(ctx, t, marks.Word(r.epoch, k), r.body, tid, r.opt.Continuation)
 		if t.failed {
 			failed = append(failed, t)
 			continue

@@ -2,8 +2,10 @@ package core
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
+	"galois/internal/marks"
 	"galois/internal/obs"
 	"galois/internal/rng"
 )
@@ -195,6 +197,68 @@ func TestForcedConflictSerialFallback(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// TestWindowSlotOrderIsIDOrder pins the invariant the packed mark word
+// relies on: within a round, the slot a task marks with (its index in the
+// window) is ascending in its id, so the max word per location is the max
+// id of Figure 3. Every inspect records (epoch, slot, id); per epoch, ids
+// sorted by slot must be strictly ascending. The workload conflicts, so
+// failed tasks re-enter later windows ahead of untried ones, and it runs
+// under both round pipelines, the serial oracle and the interleave.
+func TestWindowSlotOrderIsIDOrder(t *testing.T) {
+	const ncells = 32
+	r := rng.New(9)
+	type task struct{ a, b int }
+	items := make([]task, 3000)
+	for i := range items {
+		items[i] = task{a: r.Intn(ncells), b: r.Intn(ncells)}
+	}
+	variants := []func(*Options){
+		func(o *Options) {},
+		func(o *Options) { o.Continuation = false },
+		func(o *Options) { o.SerialCoordinator = true },
+		func(o *Options) { o.LocalityInterleave = true; o.WindowInit = 256 },
+	}
+	for vi, v := range variants {
+		for _, threads := range []int{1, 2, 4} {
+			cells := make([]*cell, ncells)
+			for i := range cells {
+				cells[i] = &cell{}
+			}
+			var mu sync.Mutex
+			byEpoch := map[uint64]map[int]uint64{}
+			ForEach(items, func(ctx *Ctx[task], tk task) {
+				if ctx.mode == modeInspect {
+					mu.Lock()
+					e := ctx.floor // one per round
+					if byEpoch[e] == nil {
+						byEpoch[e] = map[int]uint64{}
+					}
+					byEpoch[e][marks.Slot(ctx.word)] = ctx.id
+					mu.Unlock()
+				}
+				ctx.Acquire(&cells[tk.a].Lockable)
+				ctx.Acquire(&cells[tk.b].Lockable)
+				ctx.OnCommit(func(*Ctx[task]) { cells[tk.a].value++ })
+			}, optsFor(Deterministic, threads, v))
+			if len(byEpoch) < 2 {
+				t.Fatalf("variant %d t%d: %d rounds, want a multi-round run", vi, threads, len(byEpoch))
+			}
+			for e, ids := range byEpoch {
+				for slot := 0; slot < len(ids); slot++ {
+					id, ok := ids[slot]
+					if !ok {
+						t.Fatalf("variant %d t%d floor %#x: slots not dense at %d", vi, threads, e, slot)
+					}
+					if slot > 0 && ids[slot-1] >= id {
+						t.Fatalf("variant %d t%d floor %#x: slot %d id %d after id %d",
+							vi, threads, e, slot, id, ids[slot-1])
+					}
+				}
+			}
 		}
 	}
 }

@@ -6,13 +6,15 @@
 // held commit. The committed set, and hence the output, is a pure function
 // of the input order — independent of thread count.
 //
-// Reservations reuse the mark words of package marks: a minimum-index
-// reservation is a maximum-id mark under the order-reversing encoding
-// id = ^index, so the same WriteMax/ClearIfOwner machinery serves both the
-// DIG scheduler and this substrate.
+// Reservations reuse the mark words of package marks: each round takes a
+// fresh epoch, and item k of a p-item round reserves with slot p-1-k, so the
+// maximum word — the WriteMax winner — is the minimum index. Marks of
+// earlier rounds read as unowned, so rounds never clear their reservations.
 package detres
 
 import (
+	"sync/atomic"
+
 	"galois/internal/cachesim"
 	"galois/internal/marks"
 	"galois/internal/para"
@@ -32,14 +34,29 @@ type Step interface {
 	Commit(i int)
 }
 
-// Reserver reserves locations on behalf of item i.
-type Reserver struct {
-	rec      *marks.Rec
+// slot is one item's state in a round.
+type slot struct {
+	idx int
+	// lost is set when the item's reservation of some location did not
+	// hold: it met a lower index there, or a lower index displaced it
+	// later in the round. Cleared before the item reserves anything.
+	lost atomic.Bool
+	// done: abandoned at reserve time (counts as committed).
+	done bool
+	// failed: lost a reservation this round.
+	failed bool
+	// acquired lists the reserved locations for the locality tracer.
 	acquired []*marks.Lockable
-	ops      int
-	lost     bool
-	pro      *cachesim.Tracer
-	tid      int
+}
+
+// Reserver reserves locations on behalf of one item.
+type Reserver struct {
+	s           *slot
+	cur         []*slot
+	word, floor uint64
+	ops         int
+	pro         *cachesim.Tracer
+	tid         int
 }
 
 // Reserve claims l with the current item's priority (minimum item index
@@ -49,12 +66,18 @@ func (r *Reserver) Reserve(l *marks.Lockable) {
 	if r.pro != nil {
 		r.pro.Touch(r.tid, l)
 	}
-	owned, _, ops := l.WriteMax(r.rec)
+	owned, prev, ops := l.WriteMax(r.word)
 	r.ops += ops
-	if owned {
-		r.acquired = append(r.acquired, l)
-	} else {
-		r.lost = true
+	if !owned {
+		r.s.lost.Store(true)
+		return
+	}
+	if prev >= r.floor {
+		// Slots are reversed: slot j belongs to cur[len(cur)-1-j].
+		r.cur[len(r.cur)-1-marks.Slot(prev)].lost.Store(true)
+	}
+	if r.pro != nil {
+		r.s.acquired = append(r.s.acquired, l)
 	}
 }
 
@@ -97,15 +120,6 @@ func For(n int, step Step, opt Options) stats.Stats {
 	col := stats.NewCollector(threads)
 	col.Start()
 
-	type slot struct {
-		idx int
-		res Reserver
-		rec marks.Rec
-		// done: abandoned at reserve time (counts as committed).
-		done bool
-		// failed: lost a reservation this round.
-		failed bool
-	}
 	pending := make([]*slot, n)
 	for i := range pending {
 		pending[i] = &slot{idx: i}
@@ -117,62 +131,39 @@ func For(n int, step Step, opt Options) stats.Stats {
 		if opt.Ramp && committedTotal/8 > p {
 			p = committedTotal / 8
 		}
-		if p > len(pending) {
-			p = len(pending)
-		}
+		p = min(p, len(pending), marks.MaxSlots)
 		cur, rest := pending[:p:p], pending[p:]
+		epoch := marks.NextEpoch()
 
 		// Reserve phase.
 		para.For(threads, p, func(tid, k int) {
 			s := cur[k]
-			// Priority: smaller item index = higher priority, via
-			// the order-reversing encoding (0 is reserved for
-			// "free", and ^idx is never 0 for valid indices).
-			s.rec.Reset(^uint64(s.idx))
-			s.res = Reserver{rec: &s.rec, pro: opt.Profile, tid: tid}
-			s.done = !step.Reserve(s.idx, &s.res)
-			col.AtomicOp(tid, s.res.ops)
+			s.lost.Store(false)
+			s.acquired = s.acquired[:0]
+			res := Reserver{s: s, cur: cur, word: marks.Word(epoch, p-1-k),
+				floor: marks.Floor(epoch), pro: opt.Profile, tid: tid}
+			s.done = !step.Reserve(s.idx, &res)
+			col.AtomicOp(tid, res.ops)
 			col.Inspect(tid)
 		})
 
 		// Commit phase.
 		para.For(threads, p, func(tid, k int) {
 			s := cur[k]
-			ops := 0
-			if s.done {
-				s.failed = false
-				col.Commit(tid)
-			} else {
-				held := !s.res.lost
-				if held {
-					for _, l := range s.res.acquired {
-						if !l.OwnedBy(&s.rec) {
-							held = false
-							break
-						}
-					}
-				}
-				if held {
-					step.Commit(s.idx)
-					if opt.Profile != nil {
-						// The write phase revisits the
-						// reserved locations (§5.4).
-						for _, l := range s.res.acquired {
-							opt.Profile.Touch(tid, l)
-						}
-					}
-					s.failed = false
-					col.Commit(tid)
-				} else {
-					s.failed = true
-					col.Abort(tid)
+			s.failed = !s.done && s.lost.Load()
+			if s.failed {
+				col.Abort(tid)
+				return
+			}
+			if !s.done {
+				step.Commit(s.idx)
+				// The write phase revisits the reserved
+				// locations (§5.4).
+				for _, l := range s.acquired {
+					opt.Profile.Touch(tid, l)
 				}
 			}
-			for _, l := range s.res.acquired {
-				ops += l.ClearIfOwner(&s.rec)
-			}
-			s.res.acquired = nil
-			col.AtomicOp(tid, ops)
+			col.Commit(tid)
 		})
 
 		// Failed items keep their priority: they precede the untried

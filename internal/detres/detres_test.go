@@ -164,11 +164,22 @@ func TestStatsAbortsOnConflicts(t *testing.T) {
 	}
 }
 
+// TestMarksClearedBetweenRounds checks that no reservation outlives its
+// round: rounds never clear their marks, so every reserved cell still
+// carries a word, but each one must read as unowned to a fresh epoch — its
+// lowest slot takes the cell, displacing no live reservation.
 func TestMarksClearedBetweenRounds(t *testing.T) {
 	s := newCounterStep(8, 200, 7)
 	For(200, s, Options{Threads: 4, Granularity: 32})
+	epoch := marks.NextEpoch()
+	floor := marks.Floor(epoch)
 	for i := range s.cells {
-		if s.cells[i].Holder() != nil {
+		c := &s.cells[i]
+		if c.OwnedBy(0) {
+			t.Fatalf("cell %d never reserved", i)
+		}
+		owned, prev, _ := c.WriteMax(marks.Word(epoch, 0))
+		if !owned || prev >= floor {
 			t.Fatalf("cell %d still marked after completion", i)
 		}
 	}

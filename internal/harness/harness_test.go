@@ -363,12 +363,21 @@ func TestEngineReuseFingerprints(t *testing.T) {
 }
 
 // TestEngineSteadyStateAllocs checks the allocation payoff end-to-end: a
-// warm engine-reused deterministic run of a real app allocates less than
-// half of what a fresh run does (the residue is app-side — result arrays,
-// input bookkeeping — which reuse cannot and should not remove).
+// warm engine-reused deterministic run of a real app allocates no more than
+// a fresh run, and no more than a fixed per-app ceiling. The ceilings are
+// the engine-run counts from before mark words were packed; what remains is
+// app-side — the bodies' commit closures, result arrays — which reuse
+// cannot and should not remove. Fresh runs no longer allocate a per-task
+// acquire log, so a ratio between the two would not measure reuse. The
+// engine count is the minimum over independent runs: a deterministic floor
+// plus occasional runtime bookkeeping noise (see measureAllocsMin).
 func TestEngineSteadyStateAllocs(t *testing.T) {
 	in := smallInputs()
-	for _, app := range []string{"bfs", "mis"} {
+	for _, tc := range []struct {
+		app     string
+		ceiling uint64
+	}{{"bfs", 20007}, {"mis", 23272}} {
+		app := tc.app
 		in.Engine = nil
 		in.RunOnce(app, "g-d", 2, nil) // warm app-side caches
 		freshAllocs, _ := MeasureAllocs(3, func() { in.RunOnce(app, "g-d", 2, nil) })
@@ -377,13 +386,16 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 		in.Engine = eng
 		in.RunOnce(app, "g-d", 2, nil) // warm the engine
 		in.RunOnce(app, "g-d", 2, nil)
-		engineAllocs, _ := MeasureAllocs(3, func() { in.RunOnce(app, "g-d", 2, nil) })
+		engineAllocs, _ := measureAllocsMin(5, func() { in.RunOnce(app, "g-d", 2, nil) })
 		eng.Close()
 		in.Engine = nil
 
-		if engineAllocs*2 > freshAllocs {
-			t.Errorf("%s: engine run allocates %d objects vs %d fresh — reuse saves less than half",
+		if engineAllocs > freshAllocs {
+			t.Errorf("%s: engine run allocates %d objects vs %d fresh — reuse costs allocations",
 				app, engineAllocs, freshAllocs)
+		}
+		if engineAllocs > tc.ceiling {
+			t.Errorf("%s: engine run allocates %d objects, ceiling %d", app, engineAllocs, tc.ceiling)
 		}
 		t.Logf("%s: allocs/run fresh=%d engine=%d", app, freshAllocs, engineAllocs)
 	}

@@ -1,7 +1,9 @@
 package marks
 
 import (
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -10,112 +12,177 @@ import (
 
 func TestTryAcquireRelease(t *testing.T) {
 	var l Lockable
-	a := &Rec{ID: 1}
-	b := &Rec{ID: 2}
+	e := NextEpoch()
+	a, b, floor := Word(e, 0), Word(e, 1), Floor(e)
 
-	if ok, _ := l.TryAcquire(a); !ok {
+	if ok, _ := l.TryAcquire(a, floor); !ok {
 		t.Fatal("acquire of free mark failed")
 	}
-	if ok, _ := l.TryAcquire(a); !ok {
+	if ok, _ := l.TryAcquire(a, floor); !ok {
 		t.Fatal("re-acquire by owner failed")
 	}
-	if ok, _ := l.TryAcquire(b); ok {
+	if ok, _ := l.TryAcquire(b, floor); ok {
 		t.Fatal("acquire of held mark succeeded")
 	}
 	l.Release(a)
-	if l.Holder() != nil {
+	if l.mark.Load() >= floor {
 		t.Fatal("release did not clear mark")
 	}
-	if ok, _ := l.TryAcquire(b); !ok {
+	if ok, _ := l.TryAcquire(b, floor); !ok {
 		t.Fatal("acquire after release failed")
 	}
 }
 
 func TestReleaseByNonOwnerIsNoop(t *testing.T) {
 	var l Lockable
-	a := &Rec{ID: 1}
-	b := &Rec{ID: 2}
-	l.TryAcquire(a)
+	e := NextEpoch()
+	a, b := Word(e, 0), Word(e, 1)
+	l.TryAcquire(a, Floor(e))
 	l.Release(b)
-	if l.Holder() != a {
+	if !l.OwnedBy(a) {
 		t.Fatal("release by non-owner changed the mark")
 	}
 }
 
 func TestWriteMaxBasics(t *testing.T) {
 	var l Lockable
-	lo := &Rec{ID: 1}
-	hi := &Rec{ID: 2}
+	e := NextEpoch()
+	lo, hi := Word(e, 0), Word(e, 1)
 
-	owned, stole, _ := l.WriteMax(lo)
-	if !owned || stole != nil {
-		t.Fatalf("WriteMax on free mark: owned=%v stole=%v", owned, stole)
+	owned, prev, _ := l.WriteMax(lo)
+	if !owned || prev != 0 {
+		t.Fatalf("WriteMax on free mark: owned=%v prev=%#x", owned, prev)
 	}
-	owned, stole, _ = l.WriteMax(hi)
-	if !owned || stole != lo {
-		t.Fatalf("higher id should steal: owned=%v stole=%v", owned, stole)
+	owned, prev, _ = l.WriteMax(hi)
+	if !owned || prev != lo {
+		t.Fatalf("higher slot should steal: owned=%v prev=%#x", owned, prev)
 	}
-	owned, stole, _ = l.WriteMax(lo)
-	if owned || stole != nil {
-		t.Fatalf("lower id should lose: owned=%v stole=%v", owned, stole)
+	owned, prev, _ = l.WriteMax(lo)
+	if owned || prev != 0 {
+		t.Fatalf("lower slot should lose: owned=%v prev=%#x", owned, prev)
 	}
-	if l.Holder() != hi {
-		t.Fatal("final holder is not the max id")
+	if !l.OwnedBy(hi) {
+		t.Fatal("final holder is not the max slot")
 	}
 	// Owner re-acquire is idempotent.
-	owned, stole, _ = l.WriteMax(hi)
-	if !owned || stole != nil {
-		t.Fatalf("owner re-acquire: owned=%v stole=%v", owned, stole)
+	owned, prev, _ = l.WriteMax(hi)
+	if !owned || prev != 0 {
+		t.Fatalf("owner re-acquire: owned=%v prev=%#x", owned, prev)
 	}
 }
 
-func TestClearIfOwner(t *testing.T) {
+// TestStaleEpochReadsUnowned pins what replaces the round-end clear pass: a
+// mark left by an earlier epoch, even from its highest slot, is below every
+// word of a later epoch — it reads as unowned, its displacement is not a
+// live steal, and the lowest slot of the new epoch takes the location.
+func TestStaleEpochReadsUnowned(t *testing.T) {
 	var l Lockable
-	a := &Rec{ID: 1}
-	b := &Rec{ID: 2}
-	l.WriteMax(a)
-	l.WriteMax(b)
-	l.ClearIfOwner(a) // a no longer owns; must be a no-op
-	if l.Holder() != b {
-		t.Fatal("ClearIfOwner by non-owner cleared the mark")
+	old := NextEpoch()
+	stale := Word(old, MaxSlots-1)
+	l.WriteMax(stale)
+
+	e := NextEpoch()
+	floor := Floor(e)
+	if l.mark.Load() >= floor {
+		t.Fatal("stale-epoch mark reads as held")
 	}
-	l.ClearIfOwner(b)
-	if l.Holder() != nil {
-		t.Fatal("ClearIfOwner by owner did not clear")
+	if l.mark.Load() < Floor(old) {
+		t.Fatal("mark does not read as held in its own epoch")
 	}
+	w := Word(e, 0)
+	owned, prev, _ := l.WriteMax(w)
+	if !owned {
+		t.Fatal("lowest slot of a new epoch lost to a stale mark")
+	}
+	if prev != stale || prev >= floor {
+		t.Fatalf("displaced word %#x, want the stale %#x below floor %#x", prev, stale, floor)
+	}
+	if Slot(w) != 0 || Slot(stale) != MaxSlots-1 {
+		t.Fatalf("Slot round trip: %d, %d", Slot(w), Slot(stale))
+	}
+}
+
+// TestNondetMarkScopedToRun pins the non-deterministic protocol on the
+// shared word: within a run's epoch a worker's mark blocks every other
+// worker, and a mark an earlier run left behind blocks nobody.
+func TestNondetMarkScopedToRun(t *testing.T) {
+	var l Lockable
+	run1 := NextEpoch()
+	if ok, _ := l.TryAcquire(Word(run1, 0), Floor(run1)); !ok {
+		t.Fatal("worker 0 could not acquire a free mark")
+	}
+	if ok, _ := l.TryAcquire(Word(run1, 1), Floor(run1)); ok {
+		t.Fatal("worker 1 acquired a mark worker 0 holds in the same run")
+	}
+
+	// Worker 0 never released (the run ended with the mark in place).
+	run2 := NextEpoch()
+	if ok, _ := l.TryAcquire(Word(run2, 1), Floor(run2)); !ok {
+		t.Fatal("a mark from an earlier run blocked a worker")
+	}
+	if !l.OwnedBy(Word(run2, 1)) {
+		t.Fatal("acquisition over a stale mark did not install the new word")
+	}
+	// A stale-epoch owner cannot release the new run's mark.
+	l.Release(Word(run1, 0))
+	if l.mark.Load() < Floor(run2) {
+		t.Fatal("release by an earlier run's word cleared a live mark")
+	}
+}
+
+// TestEpochExhaustionPanics drives the epoch counter to its last value and
+// checks that the next epoch panics instead of wrapping.
+func TestEpochExhaustionPanics(t *testing.T) {
+	saved := epochs.Load()
+	defer epochs.Store(saved)
+
+	epochs.Store(maxEpoch - 1)
+	if e := NextEpoch(); e != maxEpoch {
+		t.Fatalf("next epoch %d, want the last one %d", e, uint64(maxEpoch))
+	}
+	if Word(maxEpoch, MaxSlots-1) != ^uint64(0) {
+		t.Fatal("the last epoch's top word is not the top of the word space")
+	}
+	defer func() {
+		r := recover()
+		msg, _ := r.(string)
+		if !strings.Contains(msg, "epoch space exhausted") {
+			t.Fatalf("exhaustion recovered %v, want the exhaustion panic", r)
+		}
+	}()
+	NextEpoch()
+	t.Fatal("NextEpoch past the last epoch did not panic")
 }
 
 // TestWriteMaxPermutationInvariance is the determinism core of the paper's
-// Figure 3: the final mark must be the maximum id regardless of the order
+// Figure 3: the final mark must be the maximum word regardless of the order
 // in which tasks write, including under true concurrency.
 func TestWriteMaxPermutationInvariance(t *testing.T) {
-	property := func(ids []uint64, seed uint64) bool {
-		if len(ids) == 0 {
+	property := func(slots []uint16, seed uint64) bool {
+		if len(slots) == 0 {
 			return true
 		}
-		recs := make([]*Rec, len(ids))
-		var maxID uint64
-		for i, id := range ids {
-			id = id%1000 + 1 // nonzero, with collisions avoided below
-			recs[i] = &Rec{ID: id}
-		}
-		// De-duplicate ids (the protocol requires uniqueness).
-		seen := map[uint64]bool{}
-		for _, r := range recs {
-			for seen[r.ID] {
-				r.ID++
+		e := NextEpoch()
+		// De-duplicate slots (the protocol requires one word per task).
+		seen := map[int]bool{}
+		var words []uint64
+		maxWord := uint64(0)
+		for _, s := range slots {
+			k := int(s) % 1000
+			for seen[k] {
+				k++
 			}
-			seen[r.ID] = true
-			if r.ID > maxID {
-				maxID = r.ID
-			}
+			seen[k] = true
+			w := Word(e, k)
+			words = append(words, w)
+			maxWord = max(maxWord, w)
 		}
 		var l Lockable
-		order := rng.New(seed).Perm(len(recs))
-		for _, i := range order {
-			l.WriteMax(recs[i])
+		l.WriteMax(Word(e-1, MaxSlots-1)) // a stale mark never matters
+		for _, i := range rng.New(seed).Perm(len(words)) {
+			l.WriteMax(words[i])
 		}
-		return l.Holder() != nil && l.Holder().ID == maxID
+		return l.OwnedBy(maxWord)
 	}
 	if err := quick.Check(property, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -126,185 +193,176 @@ func TestWriteMaxConcurrent(t *testing.T) {
 	const goroutines = 8
 	const perG = 200
 	var l Lockable
-	recs := make([][]*Rec, goroutines)
-	for g := range recs {
-		recs[g] = make([]*Rec, perG)
-		for i := range recs[g] {
-			recs[g][i] = &Rec{ID: uint64(g*perG+i) + 1}
-		}
-	}
+	e := NextEpoch()
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for _, r := range recs[g] {
-				l.WriteMax(r)
+			for i := 0; i < perG; i++ {
+				l.WriteMax(Word(e, g*perG+i))
 			}
 		}(g)
 	}
 	wg.Wait()
-	want := uint64(goroutines * perG)
-	if h := l.Holder(); h == nil || h.ID != want {
-		t.Fatalf("final holder id = %v, want %d", h, want)
+	if want := Word(e, goroutines*perG-1); !l.OwnedBy(want) {
+		t.Fatalf("final mark %#x, want %#x", l.mark.Load(), want)
 	}
 }
 
 // TestWriteMaxEqualIDConcurrent races writeMarksMax calls that carry the
-// SAME Rec (equal id) against each other and against distinct lower ids.
+// SAME word against each other and against distinct lower words.
 // Re-acquisition by the owner must always succeed, must never report the
-// rec as stolen from itself, and the equal-id race must not corrupt the
-// final max: the highest id still ends up holding the mark.
+// word as displaced by itself, and the equal-word race must not corrupt the
+// final max: the highest word still ends up holding the mark.
 func TestWriteMaxEqualIDConcurrent(t *testing.T) {
 	const goroutines = 8
 	const iters = 500
 	for trial := 0; trial < 20; trial++ {
 		var l Lockable
-		top := &Rec{ID: 1000}
-		lower := make([]*Rec, goroutines)
-		for i := range lower {
-			lower[i] = &Rec{ID: uint64(i) + 1}
-		}
+		e := NextEpoch()
+		top := Word(e, 1000)
 		var wg sync.WaitGroup
 		for g := 0; g < goroutines; g++ {
 			wg.Add(1)
 			go func(g int) {
 				defer wg.Done()
 				for i := 0; i < iters; i++ {
-					// Even goroutines hammer the shared (equal-id) rec;
-					// odd ones contend with their own lower id.
-					rec := top
+					// Even goroutines hammer the shared (equal)
+					// word; odd ones contend with their own lower one.
+					w := top
 					if g%2 == 1 {
-						rec = lower[g]
+						w = Word(e, g)
 					}
-					owned, stole, _ := l.WriteMax(rec)
-					if stole == rec {
-						t.Error("WriteMax reported a rec stolen from itself")
+					owned, prev, _ := l.WriteMax(w)
+					if prev == w {
+						t.Error("WriteMax reported a word displaced by itself")
 						return
 					}
-					if rec == top && !owned {
-						t.Error("equal-id re-acquisition by the max rec failed")
+					if w == top && !owned {
+						t.Error("equal-word re-acquisition by the max word failed")
 						return
 					}
 				}
 			}(g)
 		}
 		wg.Wait()
-		if h := l.Holder(); h != top {
-			t.Fatalf("trial %d: final holder %v, want the max-id rec", trial, h)
+		if !l.OwnedBy(top) {
+			t.Fatalf("trial %d: final mark %#x, want the max word", trial, l.mark.Load())
 		}
+	}
+}
+
+// inspect performs one inspect-mode acquire the way the DIG scheduler does:
+// write-max the slot's word, flag the displaced live slot, or self-flag on
+// a loss.
+func inspect(l *Lockable, e uint64, slot int, prevented []atomic.Bool) {
+	owned, prev, _ := l.WriteMax(Word(e, slot))
+	if !owned {
+		prevented[slot].Store(true)
+	} else if prev >= Floor(e) {
+		prevented[Slot(prev)].Store(true)
 	}
 }
 
 // TestPreventedWhenMarkLostLater pins the §3.3 protocol edge case: a task
-// marks a location, then loses it to a higher id later in the same round.
-// The stealer (not the loser) is responsible for setting the loser's
-// Prevented flag, the loser's validation must fail, and round-end clearing
-// must leave every mark empty exactly once — the loser's ClearIfOwner on
-// the stolen location must be a no-op.
+// marks a location, then loses it to a higher slot later in the same
+// round. The stealer (not the loser) is responsible for flagging the loser
+// as prevented, the loser's validation must fail, and the next round —
+// without any clearing — must see both locations unowned.
 func TestPreventedWhenMarkLostLater(t *testing.T) {
 	var l1, l2 Lockable
-	loser := &Rec{ID: 1}
-	stealer := &Rec{ID: 2}
+	e := NextEpoch()
+	const loser, stealer = 0, 1
+	prevented := make([]atomic.Bool, 2)
 
 	// The loser inspects its neighborhood {l1, l2} first and owns both.
 	for _, l := range []*Lockable{&l1, &l2} {
-		owned, stole, _ := l.WriteMax(loser)
-		if !owned || stole != nil {
-			t.Fatalf("loser failed to mark an empty location: owned=%v stole=%v", owned, stole)
+		owned, prev, _ := l.WriteMax(Word(e, loser))
+		if !owned || prev >= Floor(e) {
+			t.Fatalf("loser failed to mark an empty location: owned=%v prev=%#x", owned, prev)
 		}
 	}
 
-	// Later in the round the higher-id task touches l2 and displaces it.
-	owned, stole, _ := l2.WriteMax(stealer)
-	if !owned || stole != loser {
-		t.Fatalf("stealer: owned=%v stole=%v, want owned with the loser displaced", owned, stole)
+	// Later in the round the higher-slot task touches l2 and displaces it.
+	owned, prev, _ := l2.WriteMax(Word(e, stealer))
+	if !owned || prev < Floor(e) || Slot(prev) != loser {
+		t.Fatalf("stealer: owned=%v prev=%#x, want owned with the loser displaced", owned, prev)
 	}
-	stole.Prevented.Store(true) // stealer's obligation
+	prevented[Slot(prev)].Store(true) // stealer's obligation
 
-	if !loser.Prevented.Load() {
-		t.Fatal("loser not marked Prevented after losing a location it had marked")
+	if !prevented[loser].Load() {
+		t.Fatal("loser not prevented after losing a location it had marked")
 	}
-	if stealer.Prevented.Load() {
-		t.Fatal("stealer spuriously Prevented")
+	if prevented[stealer].Load() {
+		t.Fatal("stealer spuriously prevented")
 	}
 
 	// Commit-phase validation: the loser still owns l1 but not l2, so it
 	// must not pass validation of its full neighborhood.
-	if !l1.OwnedBy(loser) {
+	if !l1.OwnedBy(Word(e, loser)) {
 		t.Fatal("loser lost l1, which nobody contested")
 	}
-	if l2.OwnedBy(loser) {
+	if l2.OwnedBy(Word(e, loser)) {
 		t.Fatal("loser still validates on the stolen location")
 	}
 
-	// Round end: every task clears its whole neighborhood; only the final
-	// owner's clear may take effect.
-	l1.ClearIfOwner(loser)
-	l2.ClearIfOwner(loser) // no-op: stealer owns it
-	if l2.Holder() != stealer {
-		t.Fatal("loser's clear removed the stealer's mark")
-	}
-	l2.ClearIfOwner(stealer)
-	if l1.Holder() != nil || l2.Holder() != nil {
-		t.Fatal("marks not empty after round-end clearing")
-	}
-
-	// A fresh round reuses the Recs; Reset must drop the Prevented state.
-	loser.Reset(7)
-	if loser.Prevented.Load() {
-		t.Fatal("Reset kept the Prevented flag")
+	// Next round: no clear pass ran, yet both locations are free, and the
+	// loser's reused slot takes them without flagging anyone.
+	next := NextEpoch()
+	for _, l := range []*Lockable{&l1, &l2} {
+		if l.mark.Load() >= Floor(next) {
+			t.Fatal("mark from the previous round reads as held")
+		}
+		owned, prev, _ := l.WriteMax(Word(next, loser))
+		if !owned || prev >= Floor(next) {
+			t.Fatalf("next round: owned=%v prev=%#x, want owned with no live displacement", owned, prev)
+		}
 	}
 }
 
 // TestWriteMaxPreventedCover verifies the continuation-optimization
-// invariant: after all writes, every rec that does not own all its marks is
-// either self-prevented (saw a higher id) or was stolen from (Prevented set
-// by the stealer) — so "Prevented clear" == "owns everything it touched".
+// invariant: after all writes, every task that does not own all its marks
+// is either self-prevented (saw a higher word) or was displaced (flagged by
+// the stealer) — so "not prevented" == "owns everything it touched". Each
+// trial reuses the locations of the previous one without clearing them.
 func TestWriteMaxPreventedCover(t *testing.T) {
 	const nlocs = 20
 	const ntasks = 50
 	r := rng.New(42)
+	locs := make([]Lockable, nlocs)
 	for trial := 0; trial < 50; trial++ {
-		locs := make([]Lockable, nlocs)
-		recs := make([]*Rec, ntasks)
+		e := NextEpoch()
+		prevented := make([]atomic.Bool, ntasks)
 		touched := make([][]int, ntasks)
-		for i := range recs {
-			recs[i] = &Rec{ID: uint64(i) + 1}
+		for i := range touched {
 			n := 1 + r.Intn(4)
 			for j := 0; j < n; j++ {
 				touched[i] = append(touched[i], r.Intn(nlocs))
 			}
 		}
 		var wg sync.WaitGroup
-		for i := range recs {
+		for i := range touched {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
 				for _, li := range touched[i] {
-					owned, stole, _ := locs[li].WriteMax(recs[i])
-					if owned {
-						if stole != nil {
-							stole.Prevented.Store(true)
-						}
-					} else {
-						recs[i].Prevented.Store(true)
-					}
+					inspect(&locs[li], e, i, prevented)
 				}
 			}(i)
 		}
 		wg.Wait()
-		for i := range recs {
+		for i := range touched {
 			ownsAll := true
 			for _, li := range touched[i] {
-				if !locs[li].OwnedBy(recs[i]) {
+				if !locs[li].OwnedBy(Word(e, i)) {
 					ownsAll = false
 					break
 				}
 			}
-			if ownsAll == recs[i].Prevented.Load() {
+			if ownsAll == prevented[i].Load() {
 				t.Fatalf("trial %d task %d: ownsAll=%v prevented=%v",
-					trial, i, ownsAll, recs[i].Prevented.Load())
+					trial, i, ownsAll, prevented[i].Load())
 			}
 		}
 	}

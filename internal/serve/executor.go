@@ -10,13 +10,15 @@ import (
 	"galois/internal/obs"
 )
 
-// task is one admitted unit of work. Implementations run on a worker
+// task is one admitted unit of work. run executes it on a worker
 // goroutine — tid is that worker's metric cell (>= 1; cell 0 is the
-// handler side) — and deliver their own outcome (each task owns a
-// buffered reply channel, so a worker never blocks on a submitter that
-// stopped listening).
+// handler side) — and returns deliver, which hands the outcome to the
+// submitter (each task owns a buffered reply channel, so a worker never
+// blocks on a submitter that stopped listening). The worker lowers the
+// in-flight gauge between the two, so a submitter holding its reply never
+// sees its own task in flight.
 type task interface {
-	run(tid int)
+	run(tid int) (deliver func())
 }
 
 // executor is the execution substrate shared by one-shot jobs and session
@@ -70,8 +72,9 @@ func (x *executor) worker(wid int) {
 	defer x.workers.Done()
 	for t := range x.queue {
 		x.inflight.Add(1)
-		t.run(wid + 1)
+		deliver := t.run(wid + 1)
 		x.inflight.Add(-1)
+		deliver()
 	}
 }
 

@@ -128,7 +128,10 @@ type job struct {
 }
 
 // run implements task: execute on a worker and deliver the outcome.
-func (j *job) run(tid int) { j.done <- j.srv.runJob(tid, j) }
+func (j *job) run(tid int) func() {
+	out := j.srv.runJob(tid, j)
+	return func() { j.done <- out }
+}
 
 type jobOutcome struct {
 	res *JobResult

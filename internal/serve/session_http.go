@@ -80,7 +80,10 @@ type batchTask struct {
 	done     chan batchOutcome
 }
 
-func (t *batchTask) run(tid int) { t.done <- t.srv.runBatch(tid, t) }
+func (t *batchTask) run(tid int) func() {
+	out := t.srv.runBatch(tid, t)
+	return func() { t.done <- out }
+}
 
 // runBatch executes one session batch on a worker.
 func (s *Server) runBatch(tid int, t *batchTask) batchOutcome {
@@ -180,7 +183,10 @@ type verifyTask struct {
 	done     chan verifyOutcomeBox
 }
 
-func (t *verifyTask) run(tid int) { t.done <- t.srv.runSessionVerify(tid, t) }
+func (t *verifyTask) run(tid int) func() {
+	out := t.srv.runSessionVerify(tid, t)
+	return func() { t.done <- out }
+}
 
 func (s *Server) runSessionVerify(tid int, t *verifyTask) verifyOutcomeBox {
 	if time.Now().After(t.deadline) {
